@@ -1,9 +1,8 @@
 //! Emits `BENCH_sparse.json`: the two-tier cost ladder measured **per
-//! analysis kind** now that the engine is a generic sparse-analysis
-//! platform —
+//! analysis kind** —
 //!
 //! * `cold` — fresh engine, empty persist directory: every function
-//!   pays the kind's precomputation *and* the write-through.
+//!   pays the precomputation *and* the write-through.
 //! * `warm_disk` — fresh engine (empty memory) on the now-populated
 //!   directory: every distinct fingerprint is decoded from disk, zero
 //!   precomputations (`misses == disk_hits` is asserted).
@@ -12,13 +11,15 @@
 //!
 //! Both [`AnalysisKind`]s are driven through the same engine entry
 //! point ([`prefetch`](fastlive::AnalysisEngine::prefetch), the worker
-//! pool the batch planner uses), so the ladder compares kinds on equal
-//! machinery.
+//! pool the batch planner uses). Nullness is a view of the liveness
+//! artifact's dominator tree, so its ladder is the liveness ladder
+//! plus the cost of wrapping the tree — its rows measure that the view
+//! adds nothing to any tier.
 //!
 //! `no_regression` is the liveness guard: warm-memory liveness on an
-//! engine whose cache also carries every nullness artifact, versus a
-//! liveness-only engine. Generalizing the cache must not have taxed
-//! the original analysis — the ratio sits at ~1.0.
+//! engine that has also served every nullness request, versus a
+//! liveness-only engine. Nullness requests add no cache entries, so
+//! the ratio sits at ~1.0.
 //!
 //! ```text
 //! cargo run --release -p fastlive-bench --bin bench_sparse_json [--quick] [OUT.json]
@@ -139,8 +140,8 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // ---- no_regression: warm-memory liveness with the cache shared
-    // by both kinds vs a liveness-only engine. Same capacity, same
+    // ---- no_regression: warm-memory liveness on an engine that also
+    // served both kinds vs a liveness-only engine. Same capacity, same
     // module — the second analysis must not tax the first.
     let live = requests_for(&module, AnalysisKind::Liveness);
     let null = requests_for(&module, AnalysisKind::Nullness);

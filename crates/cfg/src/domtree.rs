@@ -219,6 +219,12 @@ impl DomTree {
         self.by_num[n as usize]
     }
 
+    /// Number of nodes of the graph the tree was computed over,
+    /// reachable or not.
+    pub fn num_nodes(&self) -> usize {
+        self.idom.len()
+    }
+
     /// Number of reachable nodes (== number of preorder numbers).
     pub fn num_reachable(&self) -> usize {
         self.by_num.len()

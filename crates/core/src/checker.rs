@@ -29,6 +29,8 @@
 //!
 //! [`is_live_in_scalar`]: LivenessChecker::is_live_in_scalar
 
+use std::sync::Arc;
+
 use fastlive_cfg::{DfsTree, DomTree, Reducibility};
 use fastlive_graph::{Cfg, NodeId};
 
@@ -75,7 +77,10 @@ use crate::precompute::Precomputation;
 #[derive(Clone, Debug)]
 pub struct LivenessChecker {
     dfs: DfsTree,
-    dom: DomTree,
+    /// Shared, not owned: dominance-based analyses of the same shape
+    /// (nullness / definite-init, interference) answer from this very
+    /// tree instead of building their own ([`shared_dom`](Self::shared_dom)).
+    dom: Arc<DomTree>,
     pre: Precomputation,
     /// `maxnum` indexed by dominance-preorder *number* (for subtree
     /// skipping without going back to node ids).
@@ -143,7 +148,7 @@ impl LivenessChecker {
         let reducible = Reducibility::compute(&dfs, &dom).is_reducible();
         LivenessChecker {
             dfs,
-            dom,
+            dom: Arc::new(dom),
             pre,
             maxnum_by_num,
             num_by_node,
@@ -151,6 +156,29 @@ impl LivenessChecker {
             reducible,
             skip_subtrees: true,
         }
+    }
+
+    /// Revives a checker around a precomputation that came from
+    /// outside (a disk entry): rebuilds the DFS and dominator trees
+    /// from `g` — the cheap, near-linear part — and adopts the
+    /// matrices as-is. `None` unless every matrix (the derived
+    /// transpose included — the fields are public, so a caller-built
+    /// value could disagree) is square over exactly `g`'s reachable
+    /// blocks: the gate that keeps a wrong-sized payload from
+    /// panicking [`with_precomputation`](Self::with_precomputation).
+    pub fn revive<G: Cfg>(g: &G, pre: Precomputation) -> Option<Self> {
+        let dfs = DfsTree::compute(g);
+        let dom = DomTree::compute(g, &dfs);
+        let n = dom.num_reachable();
+        let dims = [
+            pre.r.rows(),
+            pre.r.cols(),
+            pre.t.rows(),
+            pre.t.cols(),
+            pre.rt.rows(),
+            pre.rt.cols(),
+        ];
+        (dims == [n; 6]).then(|| Self::with_precomputation(g, dfs, dom, pre))
     }
 
     /// Dominance-preorder number of `v`, or `None` when unreachable —
@@ -204,6 +232,14 @@ impl LivenessChecker {
 
     /// The dominator tree the checker computed.
     pub fn dom(&self) -> &DomTree {
+        &self.dom
+    }
+
+    /// The same dominator tree as a shareable handle — what
+    /// [`NullnessArtifact::from_dom`](crate::NullnessArtifact::from_dom)
+    /// wraps, so one tree per CFG shape serves liveness, nullness and
+    /// definite-init alike.
+    pub fn shared_dom(&self) -> &Arc<DomTree> {
         &self.dom
     }
 

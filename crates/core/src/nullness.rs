@@ -3,12 +3,16 @@
 //! This is the workspace's second sparse analysis, built per the
 //! parameterized construction of Tavares, Boissinot, Pereira &
 //! Rastello: a **variable-independent, shape-level precomputation**
-//! (dominator tree + dominance frontiers over the CFG) plus **sparse
-//! forward propagation along def-use chains** at query time. The split
-//! mirrors the liveness checker exactly — [`NullnessArtifact`] is to
-//! this analysis what `Precomputation` is to liveness: it survives all
-//! program edits except CFG changes, so the engine can cache and
-//! persist it per CFG fingerprint.
+//! (the dominator tree of the CFG) plus **sparse forward propagation
+//! along def-use chains** at query time. The shape-level part is the
+//! very dominator tree the liveness checker is built on, so
+//! [`NullnessArtifact`] does not own one: [`NullnessArtifact::from_dom`]
+//! wraps the checker's shared tree
+//! ([`LivenessChecker::shared_dom`](crate::LivenessChecker::shared_dom)),
+//! and the engine serves nullness as a derived view of the shape's
+//! cached liveness artifact — one tree per CFG shape, nothing extra to
+//! cache or persist. [`NullnessArtifact::compute`] builds a tree of
+//! its own for standalone callers.
 //!
 //! Two facts are answered:
 //!
@@ -20,23 +24,25 @@
 //!   parameters already sit exactly where the sparse construction
 //!   would split live ranges — at the iterated dominance frontiers of
 //!   the definitions they merge ([`NullnessArtifact::fact_split_blocks`]
-//!   exposes that frontier closure from the persisted matrix).
+//!   computes that frontier closure on demand).
 //! * **Definite initialization** — "has `v`'s definition executed on
 //!   every path reaching the entry of block `q`?" In strict SSA this
 //!   is a pure dominance query (see
-//!   [`NullnessArtifact::definitely_initialized_at_entry`]), which is
-//!   why the artifact carries the dominator tree.
+//!   [`NullnessArtifact::definitely_initialized_at_entry`]) and needs
+//!   no solve at all.
 //!
 //! The solver treats every reachable block as executable (no
 //! conditional-branch pruning), so the result is the least fixpoint of
 //! monotone transfer functions over a finite lattice — independent of
-//! iteration order. That is the property the differential suites lean
+//! iteration order, and therefore of which successor order the tree
+//! was built under. That is the property the differential suites lean
 //! on: the dense iterative referee in `fastlive-dataflow` must agree
 //! bit-for-bit.
 
-use fastlive_bitset::BitMatrix;
+use std::sync::Arc;
+
 use fastlive_cfg::{DfsTree, DomTree, DominanceFrontiers};
-use fastlive_graph::{Cfg, NodeId};
+use fastlive_graph::Cfg;
 use fastlive_ir::{BinaryOp, Block, Function, InstData, UnaryOp, Value, ValueDef};
 
 /// The public three-valued nullness verdict for an SSA value.
@@ -101,99 +107,64 @@ impl Fact {
     }
 }
 
-/// The shape-level precomputation for nullness/definite-init: the
-/// dominance-frontier relation as a dense bit matrix (persisted by the
-/// engine's disk tier) plus the dominator tree (cheap, rebuilt from
-/// the canonical graph on revive — never persisted, like the liveness
-/// checker's derived `rt` matrix).
+/// The shape-level precomputation for nullness/definite-init: a
+/// shared handle on the CFG's dominator tree. Cloning it, or building
+/// one around a liveness checker's tree, copies a pointer — never the
+/// tree.
 #[derive(Clone, Debug)]
 pub struct NullnessArtifact {
-    /// `df.contains(b, f)` ⇔ `f ∈ DF(b)`. Square: `num_blocks ×
-    /// num_blocks`.
-    df: BitMatrix,
-    /// Dominator tree over the same graph; derived, not persisted.
-    dom: DomTree,
+    dom: Arc<DomTree>,
 }
 
 impl NullnessArtifact {
-    /// Computes the artifact from a CFG (typically the fingerprint's
-    /// canonical graph; any graph with the same shape gives identical
-    /// query answers, because dominance is successor-order
-    /// independent).
+    /// Computes the artifact from a CFG with a dominator tree of its
+    /// own (any graph with the same shape gives identical query
+    /// answers, because dominance is successor-order independent).
     pub fn compute<G: Cfg>(g: &G) -> Self {
         let dfs = DfsTree::compute(g);
-        let dom = DomTree::compute(g, &dfs);
-        let fronts = DominanceFrontiers::compute(g, &dom);
-        let n = g.num_nodes();
-        let mut df = BitMatrix::new(n, n);
-        for b in 0..n as NodeId {
-            for &f in fronts.of(b) {
-                df.set(b, f);
-            }
-        }
-        NullnessArtifact { df, dom }
+        Self::from_dom(Arc::new(DomTree::compute(g, &dfs)))
     }
 
-    /// Revives an artifact from its persisted frontier matrix: rebuilds
-    /// the dominator tree from the canonical graph and validates the
-    /// matrix dimensions against it. `None` means the payload does not
-    /// fit the graph and the caller must recompute.
-    pub fn from_parts<G: Cfg>(g: &G, df: BitMatrix) -> Option<Self> {
-        if df.rows() != g.num_nodes() || df.cols() != g.num_nodes() {
-            return None;
-        }
-        let dfs = DfsTree::compute(g);
-        let dom = DomTree::compute(g, &dfs);
-        Some(NullnessArtifact { df, dom })
+    /// Wraps an existing dominator tree without copying it — typically
+    /// [`LivenessChecker::shared_dom`](crate::LivenessChecker::shared_dom)
+    /// of the same shape, which is how the engine serves nullness.
+    pub fn from_dom(dom: Arc<DomTree>) -> Self {
+        NullnessArtifact { dom }
     }
 
-    /// The persisted dominance-frontier matrix.
-    pub fn df(&self) -> &BitMatrix {
-        &self.df
-    }
-
-    /// The (derived) dominator tree.
+    /// The dominator tree.
     pub fn dom(&self) -> &DomTree {
         &self.dom
     }
 
     /// Number of blocks in the underlying shape.
     pub fn num_blocks(&self) -> usize {
-        self.df.rows()
+        self.dom.num_nodes()
     }
 
     /// `true` when this artifact still matches `func`'s block count —
     /// the cheap staleness probe mirroring
     /// [`FunctionLiveness::is_current_for`](crate::FunctionLiveness::is_current_for).
     pub fn is_current_for(&self, func: &Function) -> bool {
-        self.df.rows() == func.num_blocks()
+        self.num_blocks() == func.num_blocks()
     }
 
     /// The iterated dominance frontier of `v`'s definition block — the
     /// exact set of blocks where the sparse construction splits `v`'s
     /// fact (in this block-parameter IR, where a φ merging `v` would
-    /// live). Computed by closure over the persisted matrix. Sorted
+    /// live). The frontiers are computed on demand from the tree and
+    /// `func`'s edges: nothing on the query path reads them. Sorted
     /// ascending; empty for values defined in unreachable code.
     pub fn fact_split_blocks(&self, func: &Function, v: Value) -> Vec<Block> {
         let d = func.def_block(v).as_u32();
         if !self.dom.is_reachable(d) {
             return Vec::new();
         }
-        let n = self.df.rows() as NodeId;
-        let mut in_set = vec![false; n as usize];
-        let mut work = vec![d];
-        let mut out = Vec::new();
-        while let Some(b) = work.pop() {
-            for f in self.df.row_iter(b) {
-                if !in_set[f as usize] {
-                    in_set[f as usize] = true;
-                    out.push(Block::from_index(f as usize));
-                    work.push(f);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
+        DominanceFrontiers::compute(func, &self.dom)
+            .iterated(&[d])
+            .into_iter()
+            .map(|f| Block::from_index(f as usize))
+            .collect()
     }
 
     /// Definite initialization: has `v`'s definition executed on
@@ -671,14 +642,18 @@ mod tests {
     }
 
     #[test]
-    fn revive_round_trip_validates_dimensions() {
+    fn from_dom_shares_the_checker_tree() {
         let mut f = Function::new("t");
         let b0 = f.add_block();
-        f.ins(b0).ret(vec![]);
-        let art = artifact(&f);
-        let revived = NullnessArtifact::from_parts(&f, art.df().clone()).expect("same graph");
-        assert_eq!(revived.df(), art.df());
-        let wrong = BitMatrix::new(3, 3);
-        assert!(NullnessArtifact::from_parts(&f, wrong).is_none());
+        let p = f.append_block_param(b0);
+        let b1 = f.add_block();
+        f.ins(b0).brif(p, b0, vec![], b1, vec![]);
+        f.ins(b1).ret(vec![p]);
+        let checker = crate::LivenessChecker::compute(&f);
+        let shared = NullnessArtifact::from_dom(Arc::clone(checker.shared_dom()));
+        assert!(std::ptr::eq(shared.clone().dom(), checker.dom()), "no copy");
+        assert!(shared.is_current_for(&f));
+        assert_eq!(shared.solve(&f), artifact(&f).solve(&f));
+        assert_eq!(shared.fact_split_blocks(&f, p), vec![b0], "the loop header");
     }
 }

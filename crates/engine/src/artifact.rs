@@ -1,30 +1,40 @@
 //! The generic analysis-artifact layer: what the engine caches,
-//! dedups, persists and revives — per `(fingerprint, analysis)` key.
+//! dedups, persists and revives — per `(fingerprint, artifact)` key.
 //!
 //! The engine started life as a liveness cache; the paper's
 //! precomputation is just one instance of a shape-level artifact in
 //! the parameterized sparse-dataflow construction (Tavares et al.).
-//! This module is the seam that makes the rest of the machinery
-//! analysis-agnostic:
+//! This module is the seam between the analyses the engine answers
+//! and the artifacts it stores:
 //!
 //! * [`AnalysisKind`] — the closed set of analyses the engine serves.
-//!   Each kind owns a **tag** (embedded in every persisted entry next
-//!   to `FORMAT_VERSION`, so a CRC-valid file can never revive as the
-//!   wrong analysis) and a **filename salt** (XORed into the shape
-//!   hash for the entry's file name, so kinds never collide in one
-//!   persist directory).
-//! * [`AnalysisArtifact`] — the trait an analysis implements to ride
-//!   the engine: compute over the canonical graph, encode the
+//!   Liveness owns a stored artifact; nullness / definite-init is a
+//!   **derived view**: its shape-level part is the dominator tree the
+//!   liveness checker already holds, so resolving it resolves the
+//!   shape's liveness artifact (through every cache, dedup and disk
+//!   tier) and wraps that tree
+//!   ([`NullnessArtifact::from_dom`]). A derived view adds no cache
+//!   entry, no miss and no file.
+//! * [`AnalysisArtifact`] — the trait a *stored* artifact implements
+//!   to ride the engine: compute over the canonical graph, encode the
 //!   expensive body, decode + revive (rebuild derived structures,
 //!   validate against the graph — `None` degrades to a `disk_rejects`
-//!   recomputation).
+//!   recomputation). Each implementation owns a **tag** (embedded in
+//!   every persisted entry next to `FORMAT_VERSION`, so a CRC-valid
+//!   file can never revive as the wrong artifact) and a **filename
+//!   salt** (XORed into the shape hash for the entry's file name, so
+//!   artifacts never collide in one persist directory).
 //! * [`ArtifactHandle`] — the dynamically-typed `Arc` the striped
-//!   cache and in-flight slots store.
+//!   cache, in-flight slots and `artifact_for` hand out.
 //!
-//! Adding an analysis means: implement the trait, add a variant +
-//! tag/salt here, and expose queries through the facade. The cache,
-//! dedup, breaker, quarantine, persist codec, GC and telemetry tiers
-//! all come for free.
+//! Adding an analysis means, first, asking whether it is a view of an
+//! existing artifact (anything dominance-based is a view of the
+//! liveness checker's tree — add a variant here and answer it from
+//! the liveness handle). Only an analysis with an expensive body of
+//! its own implements the trait, with a fresh tag and salt (never one
+//! of [`RETIRED_TAGS`] / [`RETIRED_SALTS`]); the cache, dedup,
+//! breaker, quarantine, persist codec, GC and telemetry tiers then
+//! come for free.
 
 use std::sync::Arc;
 
@@ -33,50 +43,23 @@ use fastlive_core::{FunctionLiveness, LivenessChecker, NullnessArtifact};
 use crate::fingerprint::CfgShape;
 use crate::persist::{self, Reader};
 
-/// The analyses the engine can cache and persist. Every cache, dedup
-/// and quarantine key in the engine is a `(CfgShape, AnalysisKind)`
-/// pair.
+/// The analyses the engine can answer. Only stored artifacts key the
+/// cache: every cache, dedup and quarantine key is a `(CfgShape,
+/// artifact)` pair, and a derived view ([`Nullness`](Self::Nullness))
+/// resolves through the artifact it is a view of.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AnalysisKind {
-    /// The CGO 2008 liveness precomputation (`R`/`T` matrices).
+    /// The CGO 2008 liveness precomputation (`R`/`T` matrices plus the
+    /// DFS and dominator trees).
     Liveness,
-    /// Dominance-based nullness / definite-initialization (dominance
-    /// frontier matrix).
+    /// Dominance-based nullness / definite-initialization: a view of
+    /// the liveness artifact's dominator tree.
     Nullness,
 }
 
 impl AnalysisKind {
-    /// Every kind, in tag order.
+    /// Every kind.
     pub const ALL: [AnalysisKind; 2] = [AnalysisKind::Liveness, AnalysisKind::Nullness];
-
-    /// The on-disk tag embedded in every persisted entry. Tags are
-    /// never reused or renumbered — per the format-version policy, a
-    /// layout change bumps `FORMAT_VERSION` instead.
-    pub fn tag(self) -> u32 {
-        match self {
-            AnalysisKind::Liveness => 1,
-            AnalysisKind::Nullness => 2,
-        }
-    }
-
-    /// Inverse of [`tag`](Self::tag); `None` for unknown tags (a
-    /// future kind or a corrupt file — reject either way).
-    pub fn from_tag(tag: u32) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.tag() == tag)
-    }
-
-    /// XORed into the shape hash to form the entry **file name**, so
-    /// each kind gets its own file per shape. Liveness keeps salt 0:
-    /// pre-generalization (version-1) liveness files sit at exactly
-    /// the paths the engine still probes, where the bumped
-    /// `FORMAT_VERSION` rejects them into one clean `disk_rejects`
-    /// recomputation each — degradation, not migration.
-    pub fn salt(self) -> u64 {
-        match self {
-            AnalysisKind::Liveness => 0,
-            AnalysisKind::Nullness => 0x9e37_79b9_7f4a_7c15,
-        }
-    }
 
     /// Stable snake_case label (telemetry, bench output).
     pub fn name(self) -> &'static str {
@@ -93,14 +76,35 @@ impl std::fmt::Display for AnalysisKind {
     }
 }
 
-/// An analysis artifact the engine can serve: computable from the
-/// canonical graph, persistable, revivable. Implementations must be
-/// cheap to share (`Arc`) and safe to revive from hostile bytes —
+/// On-disk tags no build may assign again. Tag 2 was the nullness
+/// dominance-frontier entry of format version 2, written until
+/// nullness became a view of the liveness artifact; a file carrying it
+/// decodes as nothing (a `disk_rejects` wherever it is found).
+pub const RETIRED_TAGS: [u32; 1] = [2];
+
+/// Filename salts no build may assign again: the retired nullness
+/// entries' salt. Files under it are never probed — GC ages them out
+/// like any other entry.
+pub const RETIRED_SALTS: [u64; 1] = [0x9e37_79b9_7f4a_7c15];
+
+/// A stored analysis artifact the engine can serve: computable from
+/// the canonical graph, persistable, revivable. Implementations must
+/// be cheap to share (`Arc`) and safe to revive from hostile bytes —
 /// `decode_body` returning `Some` is a promise that every later query
 /// on the artifact is panic-free.
 pub trait AnalysisArtifact: Send + Sync + Sized + 'static {
     /// The kind this artifact type serves.
     const KIND: AnalysisKind;
+
+    /// The on-disk tag embedded in every persisted entry. Tags are
+    /// never reused or renumbered — per the format-version policy, a
+    /// layout change bumps `FORMAT_VERSION` instead.
+    const TAG: u32;
+
+    /// XORed into the shape hash to form the entry **file name** (and
+    /// the stripe and quarantine keys), so each artifact gets its own
+    /// file per shape.
+    const SALT: u64;
 
     /// Computes the artifact from scratch over `shape`'s canonical
     /// graph. This is the expensive path every cache tier exists to
@@ -132,12 +136,12 @@ pub trait AnalysisArtifact: Send + Sync + Sized + 'static {
 }
 
 /// The dynamically-typed artifact the striped cache, in-flight slots
-/// and session entries store.
+/// and [`artifact_for`](crate::AnalysisEngine::artifact_for) hand out.
 #[derive(Clone)]
 pub enum ArtifactHandle {
     /// A revived or computed liveness checker.
     Liveness(Arc<FunctionLiveness>),
-    /// A revived or computed nullness artifact.
+    /// A nullness view sharing a liveness checker's dominator tree.
     Nullness(Arc<NullnessArtifact>),
 }
 
@@ -165,17 +169,6 @@ impl ArtifactHandle {
             _ => None,
         }
     }
-
-    /// Approximate heap footprint, for cache accounting / diagnostics.
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            ArtifactHandle::Liveness(live) => {
-                let pre = live.checker().precomputation();
-                pre.r.heap_bytes() + pre.t.heap_bytes() + pre.rt.heap_bytes()
-            }
-            ArtifactHandle::Nullness(art) => art.df().heap_bytes(),
-        }
-    }
 }
 
 impl std::fmt::Debug for ArtifactHandle {
@@ -186,6 +179,12 @@ impl std::fmt::Debug for ArtifactHandle {
 
 impl AnalysisArtifact for FunctionLiveness {
     const KIND: AnalysisKind = AnalysisKind::Liveness;
+    const TAG: u32 = 1;
+    /// Salt 0: pre-generalization (version-1) liveness files sit at
+    /// exactly the paths the engine still probes, where the bumped
+    /// `FORMAT_VERSION` rejects them into one clean `disk_rejects`
+    /// recomputation each — degradation, not migration.
+    const SALT: u64 = 0;
 
     fn compute(shape: &CfgShape) -> Self {
         FunctionLiveness::from_checker(LivenessChecker::compute(&shape.to_graph()))
@@ -214,63 +213,20 @@ impl AnalysisArtifact for FunctionLiveness {
     }
 }
 
-impl AnalysisArtifact for NullnessArtifact {
-    const KIND: AnalysisKind = AnalysisKind::Nullness;
-
-    fn compute(shape: &CfgShape) -> Self {
-        NullnessArtifact::compute(&shape.to_graph())
-    }
-
-    fn encode_body(&self, out: &mut Vec<u8>) {
-        persist::encode_matrix(self.df(), out);
-    }
-
-    fn decode_body(shape: &CfgShape, r: &mut Reader<'_>) -> Option<Self> {
-        // The frontier matrix covers *all* blocks of the shape
-        // (unreachable rows are empty), so the bound is the block
-        // count and revive re-checks it against the graph.
-        let df = persist::decode_matrix(r, shape.num_blocks())?;
-        NullnessArtifact::from_parts(&shape.to_graph(), df)
-    }
-
-    fn max_body_len(shape: &CfgShape) -> u64 {
-        let n = shape.num_blocks() as u64;
-        8 + 8 * n * n.div_ceil(64)
-    }
-
-    fn into_handle(this: Arc<Self>) -> ArtifactHandle {
-        ArtifactHandle::Nullness(this)
-    }
-
-    fn from_handle(handle: &ArtifactHandle) -> Option<&Arc<Self>> {
-        handle.as_nullness()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn tags_and_salts_are_distinct_and_stable() {
-        assert_eq!(AnalysisKind::Liveness.tag(), 1);
-        assert_eq!(AnalysisKind::Nullness.tag(), 2);
+    fn live_tags_and_salts_never_reuse_retired_ones() {
+        assert_eq!(FunctionLiveness::TAG, 1);
         assert_eq!(
-            AnalysisKind::Liveness.salt(),
+            FunctionLiveness::SALT,
             0,
             "v1 liveness paths must stay probed"
         );
-        for a in AnalysisKind::ALL {
-            assert_eq!(AnalysisKind::from_tag(a.tag()), Some(a));
-            for b in AnalysisKind::ALL {
-                if a != b {
-                    assert_ne!(a.tag(), b.tag());
-                    assert_ne!(a.salt(), b.salt());
-                }
-            }
-        }
-        assert_eq!(AnalysisKind::from_tag(0), None);
-        assert_eq!(AnalysisKind::from_tag(99), None);
+        assert!(!RETIRED_TAGS.contains(&FunctionLiveness::TAG));
+        assert!(!RETIRED_SALTS.contains(&FunctionLiveness::SALT));
     }
 
     #[test]
@@ -278,14 +234,16 @@ mod tests {
         let f = fastlive_ir::parse_function("function %f { block0: return }").expect("parses");
         let shape = CfgShape::of(&f);
         let live = Arc::new(<FunctionLiveness as AnalysisArtifact>::compute(&shape));
-        let null = Arc::new(<NullnessArtifact as AnalysisArtifact>::compute(&shape));
+        let null = Arc::new(NullnessArtifact::from_dom(Arc::clone(
+            live.checker().shared_dom(),
+        )));
         let lh = FunctionLiveness::into_handle(live);
-        let nh = NullnessArtifact::into_handle(null);
+        let nh = ArtifactHandle::Nullness(null);
         assert_eq!(lh.kind(), AnalysisKind::Liveness);
         assert_eq!(nh.kind(), AnalysisKind::Nullness);
         assert!(FunctionLiveness::from_handle(&lh).is_some());
         assert!(FunctionLiveness::from_handle(&nh).is_none());
-        assert!(NullnessArtifact::from_handle(&nh).is_some());
-        assert!(NullnessArtifact::from_handle(&lh).is_none());
+        assert!(nh.as_nullness().is_some());
+        assert!(lh.as_nullness().is_none());
     }
 }

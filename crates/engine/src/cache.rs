@@ -140,9 +140,9 @@ struct CacheEntry {
 ///
 /// Capacity 0 disables caching entirely (every probe misses, inserts
 /// are dropped) — the configuration the scaling benchmarks use to
-/// measure raw precompute throughput. The capacity bounds *entries*,
-/// so two analyses of one shape occupy two slots — each is its own
-/// eviction victim.
+/// measure raw precompute throughput. The capacity bounds *entries*:
+/// one per stored artifact of a shape (a derived view such as nullness
+/// occupies none).
 pub(crate) struct FingerprintCache {
     capacity: usize,
     tick: u64,

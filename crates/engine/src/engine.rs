@@ -160,7 +160,7 @@ pub struct AnalysisEngine {
     /// it open and the engine runs memory-only until a half-open probe
     /// finds the disk recovered.
     breaker: DiskBreaker,
-    /// Per-entry reject streaks, keyed by the kind-salted shape hash:
+    /// Per-entry reject streaks, keyed by the artifact-salted shape hash:
     /// entries that keep failing validation stop being probed.
     quarantine: Quarantine,
     /// Fault-injection hook: when set, runs at the top of every §5.2
@@ -185,14 +185,13 @@ pub type ComputeFaultHook = Box<dyn Fn(&CfgShape) + Send + Sync>;
 
 /// One stripe: cache segment plus the in-flight table, guarded by one
 /// mutex so a probe and its in-flight registration are atomic. Both
-/// maps are keyed per `(fingerprint, analysis)`: the same shape being
-/// resolved for two analyses is two independent in-flight slots.
+/// maps are keyed per `(fingerprint, artifact)`.
 struct StripeState {
     cache: FingerprintCache,
     in_flight: HashMap<ArtifactKey, Arc<InFlightSlot>>,
 }
 
-/// One `(shape, analysis)` currently being precomputed by some worker.
+/// One `(shape, artifact)` currently being precomputed by some worker.
 /// Waiters block on the condvar; the computing worker publishes the
 /// result (or `Abandoned`, if it unwound) and notifies.
 #[derive(Default)]
@@ -337,13 +336,10 @@ impl AnalysisEngine {
         Self::new(EngineConfig::default())
     }
 
-    /// The stripe owning `(shape, kind)` — pure hash dispatch over the
-    /// kind-salted shape hash, stable for the life of the engine. The
-    /// salt spreads a shape's analyses over (usually) different
-    /// stripes, so resolving liveness and nullness for one hot shape
-    /// does not serialize on one mutex.
-    fn stripe_of(&self, shape: &CfgShape, kind: AnalysisKind) -> usize {
-        ((shape.hash64() ^ kind.salt()) % self.stripes.len() as u64) as usize
+    /// The stripe owning `(shape, A)` — pure hash dispatch over the
+    /// artifact-salted shape hash, stable for the life of the engine.
+    fn stripe_of<A: AnalysisArtifact>(&self, shape: &CfgShape) -> usize {
+        ((shape.hash64() ^ A::SALT) % self.stripes.len() as u64) as usize
     }
 
     /// The engine's configuration.
@@ -440,14 +436,14 @@ impl AnalysisEngine {
     }
 
     /// Dominance-based nullness / definite-initialization artifact for
-    /// a single function, through the same `(fingerprint, analysis)`
-    /// cache, dedup, persist and degradation tiers as liveness. The
-    /// artifact is shape-level (dominator tree + frontier matrix);
-    /// callers run the sparse per-function solve
+    /// a single function: a view of the function's liveness artifact
+    /// ([`analysis_for`](Self::analysis_for) — every cache, dedup,
+    /// persist and degradation tier, and its errors) that shares the
+    /// checker's dominator tree. It adds no cache entry, miss or file
+    /// of its own. Callers run the sparse per-function solve
     /// ([`NullnessArtifact::solve`]) over it.
     pub fn nullness_for(&self, func: &Function) -> Result<Arc<NullnessArtifact>, AnalysisError> {
-        self.shaped_artifact::<NullnessArtifact>(func)
-            .map(|(_, art)| art)
+        self.analysis_for(func).map(|live| nullness_view(&live))
     }
 
     /// [`analysis_for`](Self::analysis_for) that also hands back the
@@ -462,20 +458,18 @@ impl AnalysisEngine {
     /// Resolves `kind` for `func` through the cache, returning the
     /// dynamically-typed handle — the dispatch point
     /// [`prefetch`](Self::prefetch) and cross-analysis batch planners
-    /// use when the artifact type is only known at runtime.
+    /// use when the analysis is only known at runtime. Both kinds
+    /// resolve the liveness artifact; nullness wraps its tree.
     pub fn artifact_for(
         &self,
         func: &Function,
         kind: AnalysisKind,
     ) -> Result<ArtifactHandle, AnalysisError> {
-        match kind {
-            AnalysisKind::Liveness => self
-                .shaped_artifact::<FunctionLiveness>(func)
-                .map(|(_, live)| ArtifactHandle::Liveness(live)),
-            AnalysisKind::Nullness => self
-                .shaped_artifact::<NullnessArtifact>(func)
-                .map(|(_, art)| ArtifactHandle::Nullness(art)),
-        }
+        let live = self.analysis_for(func)?;
+        Ok(match kind {
+            AnalysisKind::Liveness => ArtifactHandle::Liveness(live),
+            AnalysisKind::Nullness => ArtifactHandle::Nullness(nullness_view(&live)),
+        })
     }
 
     /// Warms the cache for a batch of `(function, analysis)` requests
@@ -484,7 +478,8 @@ impl AnalysisEngine {
     /// atomic cursor, so a batch that mixes analyses and function
     /// sizes still balances. Results land in the striped cache (and
     /// the persist tier, when configured) — the point is that later
-    /// per-function queries become memory hits. Out-of-range ids and
+    /// per-function queries become memory hits. A `Nullness` request
+    /// warms the same liveness entry a `Liveness` one does. Out-of-range ids and
     /// per-function failures are skipped: prefetching is advisory, the
     /// query path reports its own errors.
     pub fn prefetch(&self, module: &Module, requests: &[(FuncId, AnalysisKind)]) {
@@ -548,7 +543,7 @@ impl AnalysisEngine {
         };
         let shape = CfgShape::of(func);
         let key = (shape.clone(), A::KIND);
-        let si = self.stripe_of(&shape, A::KIND);
+        let si = self.stripe_of::<A>(&shape);
         let metered = self.recorder.enabled();
         loop {
             // One span per loop iteration: a retry after an abandoned
@@ -666,7 +661,7 @@ impl AnalysisEngine {
                                 self.disk_success();
                                 // A fresh valid entry is on disk: any
                                 // reject streak for this key is over.
-                                self.quarantine.note_good(shape.hash64() ^ A::KIND.salt());
+                                self.quarantine.note_good(shape.hash64() ^ A::SALT);
                             }
                             Err(_) => {
                                 self.disk_failure();
@@ -688,8 +683,8 @@ impl AnalysisEngine {
     /// shape-identical function in any process (see
     /// [`persist`](crate::persist)).
     ///
-    /// The breaker is shared across analyses (it tracks the *device*),
-    /// while quarantine entries are keyed by the kind-salted hash —
+    /// The breaker is shared across artifacts (it tracks the *device*),
+    /// while quarantine entries are keyed by the artifact-salted hash —
     /// exactly the unit that keeps rejecting on disk.
     fn load_or_compute<A: AnalysisArtifact>(&self, shape: &CfgShape) -> (Arc<A>, DiskOutcome) {
         let metered = self.recorder.enabled();
@@ -708,7 +703,7 @@ impl AnalysisEngine {
         let Some(store) = &self.store else {
             return compute(DiskOutcome::Disabled);
         };
-        let salted = shape.hash64() ^ A::KIND.salt();
+        let salted = shape.hash64() ^ A::SALT;
         // Degradation gates, cheapest first: a quarantined entry (it
         // kept rejecting) and a tripped breaker (the device kept
         // erroring) both skip the disk and compute memory-only. The
@@ -907,6 +902,14 @@ impl AnalysisEngine {
         };
         configured.clamp(1, n.max(1))
     }
+}
+
+/// The nullness view of a liveness artifact: shares its checker's
+/// dominator tree, copies nothing.
+pub(crate) fn nullness_view(live: &FunctionLiveness) -> Arc<NullnessArtifact> {
+    Arc::new(NullnessArtifact::from_dom(Arc::clone(
+        live.checker().shared_dom(),
+    )))
 }
 
 /// Stringifies a `catch_unwind` payload: `&str` and `String` payloads

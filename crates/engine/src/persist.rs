@@ -1,6 +1,6 @@
 //! The on-disk tier of the engine cache: a versioned, checksummed
-//! store of analysis artifacts keyed by `(fingerprint, analysis)` —
-//! [`CfgShape`] × [`AnalysisKind`].
+//! store of analysis artifacts keyed by `(fingerprint, artifact)` —
+//! [`CfgShape`] × [`AnalysisArtifact`].
 //!
 //! A shape-level precomputation is the expensive part of a sparse
 //! analysis and depends on nothing but the CFG shape — so it is worth
@@ -12,9 +12,10 @@
 //! shared directory; any later engine pointed at the same directory
 //! revives them for the price of a read + CRC instead of a
 //! recomputation. The bodies are defined by the
-//! [`AnalysisArtifact`] trait: liveness
-//! persists its `R`/`T` matrices, nullness its dominance-frontier
-//! matrix.
+//! [`AnalysisArtifact`] trait; liveness — the one stored artifact —
+//! persists its `R`/`T` matrices. Nullness / definite-init is a view
+//! of the liveness artifact's dominator tree, so it writes no entry of
+//! its own: a liveness entry serves both analyses.
 //!
 //! # Format (version 2, all integers little-endian)
 //!
@@ -22,23 +23,29 @@
 //! offset  size            field
 //! 0       4               magic  "FLPC"
 //! 4       4               format version (u32, currently 2)
-//! 8       4               analysis tag (u32, AnalysisKind::tag)
+//! 8       4               artifact tag (u32, AnalysisArtifact::TAG)
 //! 12      4               reserved, must be zero
 //! 16      8               shape hash64 (raw, unsalted)
 //! 24      4               k = shape-encoding word count (u32)
 //! 28      4·k             shape encoding  (CfgShape::encoding, u32s)
-//! ..      ...             per-kind body (AnalysisArtifact::encode_body)
+//! ..      ...             artifact body (AnalysisArtifact::encode_body)
 //! last 4  4               CRC-32 (IEEE) over all preceding bytes
 //! ```
 //!
-//! The file *name* is `{hash64 ^ kind.salt():016x}.flpc`, so each kind
-//! gets its own entry per shape; the *embedded* hash stays raw, and
-//! the embedded tag must match the probing kind — a CRC-valid entry
-//! renamed or forged across kinds is rejected, never revived as the
-//! other analysis. Liveness keeps salt 0, so files written by the
-//! version-1 (liveness-only) format sit at exactly the paths the
-//! engine still probes and degrade to `disk_rejects` through the
-//! version gate — the bump-once, no-migration policy.
+//! The file *name* is `{hash64 ^ A::SALT:016x}.flpc`, so each stored
+//! artifact gets its own entry per shape; the *embedded* hash stays
+//! raw, and the embedded tag must match the probing artifact — a
+//! CRC-valid entry renamed or forged across tags is rejected, never
+//! revived as something else. Liveness keeps salt 0, so files written
+//! by the version-1 (liveness-only) format sit at exactly the paths
+//! the engine still probes and degrade to `disk_rejects` through the
+//! version gate — the bump-once, no-migration policy. Tag 2 and its
+//! salt belonged to the nullness entries early version-2 builds
+//! wrote; they are retired ([`RETIRED_TAGS`](crate::artifact::RETIRED_TAGS),
+//! [`RETIRED_SALTS`](crate::artifact::RETIRED_SALTS)): a tag-2 entry
+//! is rejected wherever it is found, files under the old salt are
+//! never probed and age out through GC, and the layout of every entry
+//! still written is unchanged, so `FORMAT_VERSION` stays 2.
 //!
 //! # Corruption policy: reject, never trust
 //!
@@ -84,7 +91,8 @@
 //! function's edge ordering. [`revive`] rebuilds the DFS and dominator
 //! trees from that same canonical graph, so the decoded matrices land
 //! in exactly the number space they were computed in — in this process
-//! or any other.
+//! or any other. The revived dominator tree is the one the nullness
+//! view then shares, so a disk hit serves both analyses.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,7 +100,6 @@ use std::sync::Arc;
 use std::time::SystemTime;
 
 use fastlive_bitset::BitMatrix;
-use fastlive_cfg::{DfsTree, DomTree};
 use fastlive_core::{FunctionLiveness, LivenessChecker, Precomputation};
 
 use crate::artifact::{AnalysisArtifact, AnalysisKind};
@@ -144,44 +151,34 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Serializes any artifact (computed over `shape`'s canonical graph)
-/// into the version-2 byte format — header with the artifact's
-/// analysis tag, trait-encoded body, trailing CRC.
+/// into the version-2 byte format — header with the artifact's tag,
+/// trait-encoded body, trailing CRC.
 pub fn encode_artifact<A: AnalysisArtifact>(shape: &CfgShape, artifact: &A) -> Vec<u8> {
-    let enc = shape.encoding();
-    let mut out = Vec::with_capacity(32 + 4 * enc.len() + A::max_body_len(shape) as usize);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&A::KIND.tag().to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes()); // reserved
-    out.extend_from_slice(&shape.hash64().to_le_bytes());
-    out.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-    for &w in enc {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    artifact.encode_body(&mut out);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    encode_entry::<A>(shape, |out| artifact.encode_body(out))
 }
 
 /// Serializes `pre` (computed over `shape`'s canonical graph) into a
 /// liveness-tagged entry — the [`encode_artifact`] body format without
 /// requiring a revived checker.
 pub fn encode(shape: &CfgShape, pre: &Precomputation) -> Vec<u8> {
+    encode_entry::<FunctionLiveness>(shape, |out| encode_liveness_body(pre, out))
+}
+
+/// The one entry skeleton both encoders share: header with `A::TAG`,
+/// the body `body` appends, trailing CRC.
+fn encode_entry<A: AnalysisArtifact>(shape: &CfgShape, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let enc = shape.encoding();
-    let mut out = Vec::with_capacity(
-        32 + 4 * enc.len() + <FunctionLiveness as AnalysisArtifact>::max_body_len(shape) as usize,
-    );
+    let mut out = Vec::with_capacity(32 + 4 * enc.len() + A::max_body_len(shape) as usize);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&AnalysisKind::Liveness.tag().to_le_bytes());
+    out.extend_from_slice(&A::TAG.to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes()); // reserved
     out.extend_from_slice(&shape.hash64().to_le_bytes());
     out.extend_from_slice(&(enc.len() as u32).to_le_bytes());
     for &w in enc {
         out.extend_from_slice(&w.to_le_bytes());
     }
-    encode_liveness_body(pre, &mut out);
+    body(&mut out);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -197,7 +194,7 @@ pub(crate) fn encode_liveness_body(pre: &Precomputation, out: &mut Vec<u8>) {
 }
 
 /// Appends one matrix: rows, cols, row-major unpadded words.
-pub(crate) fn encode_matrix(m: &BitMatrix, out: &mut Vec<u8>) {
+fn encode_matrix(m: &BitMatrix, out: &mut Vec<u8>) {
     out.extend_from_slice(&(m.rows() as u32).to_le_bytes());
     out.extend_from_slice(&(m.cols() as u32).to_le_bytes());
     for w in m.to_words() {
@@ -242,10 +239,10 @@ impl<'a> Reader<'a> {
 }
 
 /// Validates the CRC and the version-2 header of `bytes` against
-/// `(shape, kind)` and returns a [`Reader`] positioned at the body.
+/// `(shape, tag)` and returns a [`Reader`] positioned at the body.
 /// `None` on any mismatch — including a CRC-valid entry carrying a
-/// different analysis tag, which is *someone else's* artifact.
-fn decode_header<'a>(shape: &CfgShape, kind: AnalysisKind, bytes: &'a [u8]) -> Option<Reader<'a>> {
+/// different (or retired) tag, which is *someone else's* artifact.
+fn decode_header<'a>(shape: &CfgShape, tag: u32, bytes: &'a [u8]) -> Option<Reader<'a>> {
     // CRC first: everything after this point may assume the bytes are
     // the bytes some encoder produced (or an astronomically lucky
     // corruption — which the structural checks below still bound).
@@ -264,9 +261,9 @@ fn decode_header<'a>(shape: &CfgShape, kind: AnalysisKind, bytes: &'a [u8]) -> O
     if r.u32()? != FORMAT_VERSION {
         return None;
     }
-    // The analysis tag gates *before* any body parsing: a tag-swapped
-    // file must never reach the other kind's decoder.
-    if AnalysisKind::from_tag(r.u32()?) != Some(kind) {
+    // The tag gates *before* any body parsing: a tag-swapped file
+    // must never reach another artifact's decoder.
+    if r.u32()? != tag {
         return None;
     }
     if r.u32()? != 0 {
@@ -288,14 +285,14 @@ fn decode_header<'a>(shape: &CfgShape, kind: AnalysisKind, bytes: &'a [u8]) -> O
     Some(r)
 }
 
-/// Decodes and revives `bytes` as a `(shape, A::KIND)` entry. Returns
+/// Decodes and revives `bytes` as a `(shape, A)` entry. Returns
 /// `None` — never panics, never a partial result — unless every one of
-/// these holds: magic, [`FORMAT_VERSION`], analysis tag and reserved
+/// these holds: magic, [`FORMAT_VERSION`], `A::TAG` and reserved
 /// word match, the trailing CRC matches the payload, the embedded
 /// shape encoding equals `shape`'s exactly, the body passes the
 /// artifact's structural validation, and no trailing bytes remain.
 pub fn decode_artifact<A: AnalysisArtifact>(shape: &CfgShape, bytes: &[u8]) -> Option<A> {
-    let mut r = decode_header(shape, A::KIND, bytes)?;
+    let mut r = decode_header(shape, A::TAG, bytes)?;
     let artifact = A::decode_body(shape, &mut r)?;
     if !r.is_exhausted() {
         return None;
@@ -307,7 +304,7 @@ pub fn decode_artifact<A: AnalysisArtifact>(shape: &CfgShape, bytes: &[u8]) -> O
 /// raw [`Precomputation`] (see [`decode_artifact`] for the fully
 /// revived path and the exact validation contract).
 pub fn decode(shape: &CfgShape, bytes: &[u8]) -> Option<Precomputation> {
-    let mut r = decode_header(shape, AnalysisKind::Liveness, bytes)?;
+    let mut r = decode_header(shape, FunctionLiveness::TAG, bytes)?;
     let pre = decode_liveness_body(shape, &mut r)?;
     if !r.is_exhausted() {
         return None;
@@ -331,7 +328,7 @@ pub(crate) fn decode_liveness_body(shape: &CfgShape, r: &mut Reader<'_>) -> Opti
 
 /// One square `rows == cols ≤ max_dim` matrix; dimensions are checked
 /// *before* any allocation is sized from them.
-pub(crate) fn decode_matrix(r: &mut Reader<'_>, max_dim: usize) -> Option<BitMatrix> {
+fn decode_matrix(r: &mut Reader<'_>, max_dim: usize) -> Option<BitMatrix> {
     let rows = r.u32()? as usize;
     let cols = r.u32()? as usize;
     if rows != cols || rows > max_dim {
@@ -352,32 +349,11 @@ pub(crate) fn decode_matrix(r: &mut Reader<'_>, max_dim: usize) -> Option<BitMat
 /// matrices (the expensive, quadratic part) are adopted as-is.
 ///
 /// Returns `None` if the matrices do not cover exactly the canonical
-/// graph's reachable blocks — the final structural gate keeping a
-/// CRC-passing-but-wrong file from panicking the checker constructor.
+/// graph's reachable blocks ([`LivenessChecker::revive`]) — the final
+/// structural gate keeping a CRC-passing-but-wrong file from panicking
+/// the checker constructor.
 pub fn revive(shape: &CfgShape, pre: Precomputation) -> Option<FunctionLiveness> {
-    let g = shape.to_graph();
-    let dfs = DfsTree::compute(&g);
-    let dom = DomTree::compute(&g, &dfs);
-    let n = dom.num_reachable();
-    // All matrices (the derived transpose included — the fields are
-    // public, so a caller-built value could disagree) must be square
-    // over exactly the reachable blocks — `decode` guarantees this for
-    // its own output, but `revive` is a public gate and must hold for
-    // any caller-supplied value.
-    if [
-        pre.r.rows(),
-        pre.r.cols(),
-        pre.t.rows(),
-        pre.t.cols(),
-        pre.rt.rows(),
-        pre.rt.cols(),
-    ] != [n; 6]
-    {
-        return None;
-    }
-    Some(FunctionLiveness::from_checker(
-        LivenessChecker::with_precomputation(&g, dfs, dom, pre),
-    ))
+    LivenessChecker::revive(&shape.to_graph(), pre).map(FunctionLiveness::from_checker)
 }
 
 /// Outcome of one [`PersistStore::gc`] sweep.
@@ -548,51 +524,60 @@ impl PersistStore {
     /// The file a given shape's **liveness** entry persists to (salt
     /// 0 — see [`entry_path_for`](Self::entry_path_for)).
     pub fn entry_path(&self, shape: &CfgShape) -> PathBuf {
-        self.entry_path_for(shape, AnalysisKind::Liveness)
+        self.salted_path(shape, FunctionLiveness::SALT)
     }
 
-    /// The file a given `(shape, kind)` persists to: the shape hash
-    /// XOR the kind's salt, hex, plus the common extension. Distinct
-    /// kinds of one shape are distinct files, so GC, the tmp sweep and
-    /// the entry-name pattern need no per-kind cases.
+    /// The file that serves `(shape, kind)` queries. Nullness is a
+    /// view of the liveness artifact, so both kinds map to the
+    /// liveness entry; no file under a retired salt is ever probed.
     pub fn entry_path_for(&self, shape: &CfgShape, kind: AnalysisKind) -> PathBuf {
-        self.dir.join(format!(
-            "{:016x}.{FILE_EXTENSION}",
-            shape.hash64() ^ kind.salt()
-        ))
+        match kind {
+            AnalysisKind::Liveness | AnalysisKind::Nullness => self.entry_path(shape),
+        }
+    }
+
+    /// The shape hash XOR an artifact's salt, hex, plus the common
+    /// extension. Distinct artifacts of one shape are distinct files,
+    /// so GC, the tmp sweep and the entry-name pattern need no
+    /// per-artifact cases.
+    fn salted_path(&self, shape: &CfgShape, salt: u64) -> PathBuf {
+        self.dir
+            .join(format!("{:016x}.{FILE_EXTENSION}", shape.hash64() ^ salt))
     }
 
     /// Probes the store for `shape`'s liveness precomputation (see
     /// [`load_artifact`](Self::load_artifact) for the generic path and
     /// the outcome classification).
     pub fn load(&self, shape: &CfgShape) -> LoadOutcome {
-        self.probe(shape, AnalysisKind::Liveness, |bytes| decode(shape, bytes))
+        self.probe::<FunctionLiveness, _>(shape, |bytes| decode(shape, bytes))
     }
 
-    /// Probes the store for `shape`'s `A::KIND` artifact, fully
-    /// revived. Every failure mode is classified (see
-    /// [`LoadOutcome`]): missing file → `Absent`, invalid bytes →
-    /// `Reject`, failing I/O → `Error` — the caller always gets an
-    /// answer it can degrade on, never a panic.
+    /// Probes the store for `shape`'s `A` artifact, fully revived.
+    /// Every failure mode is classified (see [`LoadOutcome`]): missing
+    /// file → `Absent`, invalid bytes → `Reject`, failing I/O →
+    /// `Error` — the caller always gets an answer it can degrade on,
+    /// never a panic.
     pub fn load_artifact<A: AnalysisArtifact>(&self, shape: &CfgShape) -> LoadOutcome<A> {
-        self.probe(shape, A::KIND, |bytes| decode_artifact::<A>(shape, bytes))
+        self.probe::<A, _>(shape, |bytes| decode_artifact::<A>(shape, bytes))
     }
 
-    /// The shared probe skeleton: size gate on metadata, read, decode.
-    fn probe<T>(
+    /// The shared probe skeleton for `A`'s entry: size gate on
+    /// metadata, read, decode.
+    fn probe<A: AnalysisArtifact, T>(
         &self,
         shape: &CfgShape,
-        kind: AnalysisKind,
         decode_fn: impl FnOnce(&[u8]) -> Option<T>,
     ) -> LoadOutcome<T> {
-        let path = self.entry_path_for(shape, kind);
+        let path = self.salted_path(shape, A::SALT);
         // Cheap size gate before reading: a valid entry for this
-        // `(shape, kind)` can never exceed `max_entry_len` (body sizes
-        // are bounded by the block count), so an absurdly large file —
-        // filesystem corruption, a zero-extended blob — is rejected on
-        // metadata alone instead of being slurped and CRC-scanned.
+        // `(shape, A)` can never exceed the header and encoding plus
+        // `A::max_body_len` (body sizes are bounded by the block
+        // count), so an absurdly large file — filesystem corruption, a
+        // zero-extended blob — is rejected on metadata alone instead of
+        // being slurped and CRC-scanned.
+        let max_len = 32 + 4 * shape.encoding().len() as u64 + A::max_body_len(shape) + 4;
         match self.vfs.metadata(&path) {
-            Ok(meta) if meta.len > Self::max_entry_len(shape, kind) => return LoadOutcome::Reject,
+            Ok(meta) if meta.len > max_len => return LoadOutcome::Reject,
             Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return LoadOutcome::Absent,
             // A failing stat is the disk's fault, not the file's:
@@ -611,26 +596,13 @@ impl PersistStore {
         }
     }
 
-    /// Upper bound on a valid entry's byte length for `(shape, kind)`:
-    /// header and encoding are fixed, the body bound comes from the
-    /// artifact trait.
-    fn max_entry_len(shape: &CfgShape, kind: AnalysisKind) -> u64 {
-        let body = match kind {
-            AnalysisKind::Liveness => <FunctionLiveness as AnalysisArtifact>::max_body_len(shape),
-            AnalysisKind::Nullness => {
-                <fastlive_core::NullnessArtifact as AnalysisArtifact>::max_body_len(shape)
-            }
-        };
-        32 + 4 * shape.encoding().len() as u64 + body + 4
-    }
-
     /// Writes (or overwrites) `shape`'s liveness entry atomically (see
     /// [`save_artifact`](Self::save_artifact) for the contract).
     pub fn save(&self, shape: &CfgShape, pre: &Precomputation) -> Result<(), std::io::Error> {
-        self.publish(shape, AnalysisKind::Liveness, encode(shape, pre))
+        self.publish(shape, FunctionLiveness::SALT, encode(shape, pre))
     }
 
-    /// Writes (or overwrites) `shape`'s `A::KIND` entry atomically:
+    /// Writes (or overwrites) `shape`'s `A` entry atomically:
     /// encode to a unique temp file, then rename into place. On any
     /// I/O failure the temp file is removed (best-effort), no partial
     /// entry is left behind, and the underlying error is returned —
@@ -642,20 +614,15 @@ impl PersistStore {
         shape: &CfgShape,
         artifact: &A,
     ) -> Result<(), std::io::Error> {
-        self.publish(shape, A::KIND, encode_artifact(shape, artifact))
+        self.publish(shape, A::SALT, encode_artifact(shape, artifact))
     }
 
     /// The shared write-temp-then-rename skeleton.
-    fn publish(
-        &self,
-        shape: &CfgShape,
-        kind: AnalysisKind,
-        bytes: Vec<u8>,
-    ) -> Result<(), std::io::Error> {
-        let final_path = self.entry_path_for(shape, kind);
+    fn publish(&self, shape: &CfgShape, salt: u64, bytes: Vec<u8>) -> Result<(), std::io::Error> {
+        let final_path = self.salted_path(shape, salt);
         let tmp_path = self.dir.join(format!(
             "{:016x}.tmp.{}.{}",
-            shape.hash64() ^ kind.salt(),
+            shape.hash64() ^ salt,
             std::process::id(),
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
@@ -1041,50 +1008,15 @@ mod tests {
     }
 
     #[test]
-    fn artifact_round_trips_per_kind_with_salted_paths() {
-        use fastlive_core::NullnessArtifact;
+    fn entries_round_trip_through_the_generic_codec() {
         let f = parse_function(LOOP_SRC).expect("parses");
         let shape = CfgShape::of(&f);
-        let null = <NullnessArtifact as AnalysisArtifact>::compute(&shape);
-        let bytes = encode_artifact(&shape, &null);
-        let back: NullnessArtifact = decode_artifact(&shape, &bytes).expect("own encoding decodes");
-        assert_eq!(back.df(), null.df(), "frontier matrix round-trips");
-
-        // Through the store: each kind owns its salted path, and the
-        // two entries for one shape coexist in one directory.
-        let dir = std::env::temp_dir().join(format!(
-            "fastlive-persist-kinds-{}-{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let store = PersistStore::new(&dir);
-        let (_, pre) = shape_and_pre(LOOP_SRC);
-        assert!(store.save(&shape, &pre).is_ok());
-        assert!(store.save_artifact(&shape, &null).is_ok());
-        assert_ne!(
-            store.entry_path_for(&shape, AnalysisKind::Liveness),
-            store.entry_path_for(&shape, AnalysisKind::Nullness),
-        );
-        assert!(matches!(store.load(&shape), LoadOutcome::Hit(_)));
-        match store.load_artifact::<NullnessArtifact>(&shape) {
-            LoadOutcome::Hit(got) => assert_eq!(got.df(), null.df()),
-            other => panic!("expected nullness hit, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn decode_rejects_the_wrong_analysis_tag() {
-        use fastlive_core::NullnessArtifact;
-        let (shape, pre) = shape_and_pre(LOOP_SRC);
-        let null = <NullnessArtifact as AnalysisArtifact>::compute(&shape);
-        let live_bytes = encode(&shape, &pre);
-        let null_bytes = encode_artifact(&shape, &null);
-        // Each kind's decoder refuses the other kind's (CRC-valid)
-        // bytes at the tag gate — before any body parsing.
-        assert!(decode_artifact::<NullnessArtifact>(&shape, &live_bytes).is_none());
-        assert!(decode(&shape, &null_bytes).is_none());
-        assert!(decode_artifact::<FunctionLiveness>(&shape, &null_bytes).is_none());
+        let live = <FunctionLiveness as AnalysisArtifact>::compute(&shape);
+        let pre = live.checker().precomputation();
+        let bytes = encode_artifact(&shape, &live);
+        assert_eq!(bytes, encode(&shape, pre), "one layout, two entry points");
+        let back: FunctionLiveness = decode_artifact(&shape, &bytes).expect("own encoding decodes");
+        assert_eq!(back.checker().precomputation(), pre);
     }
 
     #[test]

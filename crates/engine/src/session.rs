@@ -247,13 +247,14 @@ impl<'e> EngineSession<'e> {
         Ok(self.analysis(module, func)?.batch(module.func(func)))
     }
 
-    /// The nullness / definite-initialization artifact for `func`,
-    /// resolved through the engine's `(fingerprint, analysis)` cache.
+    /// The nullness / definite-initialization artifact for `func`: a
+    /// view of the session's own revalidated liveness handle
+    /// ([`analysis`](Self::analysis)) that shares its dominator tree.
     ///
-    /// Always exact for the function's current state: the engine keys
-    /// by the CFG shape computed *at call time*, so a CFG edit simply
-    /// resolves a different key (usually another cache hit) — nullness
-    /// needs no epoch bookkeeping of its own. Run
+    /// It therefore follows the liveness entry exactly: a CFG edit is
+    /// one recomputation (one epoch bump) serving both analyses, and a
+    /// failed entry answers with the same typed [`AnalysisError`] and
+    /// is retried on the next query of either kind. Run
     /// [`NullnessArtifact::solve`] over the handle for per-value
     /// facts; like liveness queries, solving reads the function's
     /// current instructions, so instruction-level edits are free.
@@ -266,7 +267,8 @@ impl<'e> EngineSession<'e> {
         module: &Module,
         func: FuncId,
     ) -> Result<Arc<NullnessArtifact>, AnalysisError> {
-        self.engine.nullness_for(module.func(func))
+        self.analysis(module, func)
+            .map(|live| crate::engine::nullness_view(&live))
     }
 
     /// Exact revalidation: recomputes the function's [`CfgShape`] and,
@@ -397,11 +399,17 @@ mod tests {
         assert!(!created.is_empty(), "the loop exit edge is critical");
         let b2 = module.func(id).block_by_index(2);
         let before = session.epoch(id);
-        let answer = session.is_live_in(&module, id, v0, b2).unwrap();
+        // A nullness query sees the edit first: it revalidates the one
+        // session entry, and that recomputation serves liveness too.
+        let art = session.nullness(&module, id).unwrap();
         assert_eq!(session.epoch(id), before + 1, "CFG change must recompute");
-        // And the recomputed answer matches a from-scratch analysis.
+        let answer = session.is_live_in(&module, id, v0, b2).unwrap();
+        assert_eq!(session.epoch(id), before + 1, "once for both analyses");
+        // And the recomputed answers match from-scratch analyses.
         let oracle = FunctionLiveness::compute(module.func(id));
         assert_eq!(answer, oracle.is_live_in(module.func(id), v0, b2));
+        let fresh = NullnessArtifact::compute(module.func(id));
+        assert_eq!(art.solve(module.func(id)), fresh.solve(module.func(id)));
     }
 
     #[test]
@@ -562,22 +570,48 @@ mod tests {
         let mut session = engine.analyze(&module);
         assert_eq!(engine.cache_len(), 1, "liveness artifact cached");
 
-        // First nullness request is a second, independent cache entry
-        // under the same fingerprint; repeats are memory hits.
+        // Nullness is a view of the liveness entry: one entry and one
+        // miss per shape, however often either analysis is asked, and
+        // the view shares the checker's dominator tree.
         let art = session.nullness(&module, 0).unwrap();
-        assert_eq!(engine.cache_len(), 2, "one entry per (shape, analysis)");
         let again = session.nullness(&module, 0).unwrap();
-        assert!(
-            Arc::ptr_eq(&art, &again),
-            "second request shares the handle"
-        );
-        assert_eq!(engine.cache_stats().misses, 2, "one per analysis kind");
+        let live = session.analysis(&module, 0).unwrap();
+        assert!(std::ptr::eq(art.dom(), live.checker().dom()));
+        assert!(std::ptr::eq(again.dom(), live.checker().dom()));
+        assert_eq!(engine.cache_len(), 1, "no entry of its own");
+        assert_eq!(engine.cache_stats().misses, 1, "one per shape");
+        assert_eq!(session.epoch(0), 0);
 
         // And the artifact answers over the function's real body.
         let func = module.func(0);
         let facts = art.solve(func);
         let v1 = func.value("v1").unwrap();
         assert_eq!(facts.of(v1), fastlive_core::Nullness::Null, "iconst 0");
+    }
+
+    #[test]
+    fn nullness_fails_and_retries_exactly_like_liveness() {
+        let module = looped_module();
+        let engine = AnalysisEngine::with_defaults();
+        engine.set_compute_fault(Some(Box::new(|_| panic!("injected precompute fault"))));
+        let mut session = engine.analyze(&module);
+        let v0 = module.func(0).params()[0];
+        let b1 = module.func(0).block_by_index(1);
+
+        // Both analyses report the same typed error, and a query of
+        // either kind retries the entry (one epoch each).
+        let live_err = session.is_live_in(&module, 0, v0, b1).unwrap_err();
+        assert!(matches!(live_err, AnalysisError::ComputePanicked { .. }));
+        assert_eq!(session.nullness(&module, 0).unwrap_err(), live_err);
+        assert_eq!(session.epoch(0), 2);
+
+        // Healed: a nullness query's retry serves liveness too.
+        engine.set_compute_fault(None);
+        let art = session.nullness(&module, 0).unwrap();
+        assert!(session.is_live_in(&module, 0, v0, b1).unwrap());
+        assert_eq!(session.epoch(0), 3);
+        let live = session.analysis(&module, 0).unwrap();
+        assert!(std::ptr::eq(art.dom(), live.checker().dom()));
     }
 
     #[test]

@@ -136,69 +136,64 @@ fn version_and_magic_gates_hold_even_with_a_valid_crc() {
     assert!(decode(&shape, &sbad).is_none());
 }
 
-/// A CRC-valid forgery whose analysis tag was swapped to the *other*
-/// kind must never decode as that kind — and at the engine level it
-/// lands in `disk_rejects`, then gets overwritten by a healthy entry.
+/// A CRC-valid forgery carrying the retired nullness tag must never
+/// decode — and at the engine level, planted at the liveness path, it
+/// lands in `disk_rejects` for nullness queries exactly as for
+/// liveness ones, then gets overwritten by a healthy entry.
 #[test]
-fn a_tag_swapped_forgery_never_decodes_as_the_other_analysis() {
-    use fastlive_core::NullnessArtifact;
-    use fastlive_engine::persist::{decode_artifact, encode_artifact};
-    use fastlive_engine::AnalysisKind;
+fn a_retired_tag_forgery_is_refused_and_overwritten() {
+    use fastlive_core::{FunctionLiveness, NullnessArtifact};
+    use fastlive_engine::artifact::RETIRED_TAGS;
+    use fastlive_engine::persist::decode_artifact;
 
     let f = parse_function(SMALL_SRC).expect("parses");
     let shape = CfgShape::of(&f);
 
-    // Liveness bytes re-tagged as nullness: the tag gate refuses them
-    // even though the CRC is freshly valid. The forged body would even
-    // parse as a plausible matrix — the tag must reject first.
+    // Liveness bytes re-tagged 2: the tag gate refuses them even
+    // though the CRC is freshly valid and the body is a genuine
+    // precomputation for this very shape.
     let pre = LivenessChecker::compute(&shape.to_graph())
         .precomputation()
         .clone();
-    let mut forged_null = encode(&shape, &pre);
-    forged_null[8..12].copy_from_slice(&AnalysisKind::Nullness.tag().to_le_bytes());
-    fix_crc(&mut forged_null);
-    assert!(decode_artifact::<NullnessArtifact>(&shape, &forged_null).is_none());
-    assert!(decode(&shape, &forged_null).is_none(), "nor as liveness");
+    let mut forged = encode(&shape, &pre);
+    forged[8..12].copy_from_slice(&RETIRED_TAGS[0].to_le_bytes());
+    fix_crc(&mut forged);
+    assert!(decode(&shape, &forged).is_none());
+    assert!(decode_artifact::<FunctionLiveness>(&shape, &forged).is_none());
 
-    // And the mirror image: nullness bytes re-tagged as liveness.
-    let art = NullnessArtifact::compute(&shape.to_graph());
-    let mut forged_live = encode_artifact(&shape, &art);
-    forged_live[8..12].copy_from_slice(&AnalysisKind::Liveness.tag().to_le_bytes());
-    fix_crc(&mut forged_live);
-    assert!(decode(&shape, &forged_live).is_none());
-    assert!(decode_artifact::<NullnessArtifact>(&shape, &forged_live).is_none());
-
-    // Engine level: plant each forgery at the kind's salted path and
-    // ask for that kind — one disk_rejects each, exact recomputation,
-    // healthy overwrite.
+    // Engine level: plant the forgery at the liveness path and ask for
+    // nullness first — one disk_rejects, exact recomputation, healthy
+    // overwrite, and the liveness query after it is a memory hit.
     let module = parse_module(SMALL_SRC).expect("parses");
     let dir = common::temp_dir("corrupt-tag-forgery");
     let store = PersistStore::new(&dir);
     std::fs::create_dir_all(&dir).expect("store dir");
-    std::fs::write(
-        store.entry_path_for(&shape, AnalysisKind::Nullness),
-        &forged_null,
-    )
-    .expect("plant nullness forgery");
-    std::fs::write(store.entry_path(&shape), &forged_live).expect("plant liveness forgery");
+    std::fs::write(store.entry_path(&shape), &forged).expect("plant forgery");
 
     let engine = AnalysisEngine::new(EngineConfig {
         persist_dir: Some(dir.clone()),
         ..EngineConfig::default()
     });
-    let _ = engine.analyze(&module);
-    let art = engine.nullness_for(module.func(0)).expect("recomputes");
-    assert!(art.is_current_for(module.func(0)));
+    let func = module.func(0);
+    let art = engine.nullness_for(func).expect("recomputes");
+    assert!(art.is_current_for(func));
+    assert_eq!(art.solve(func), NullnessArtifact::compute(func).solve(func));
+    engine.analysis_for(func).expect("cached");
     let stats = engine.cache_stats();
-    assert_eq!(stats.disk_rejects, 2, "{stats:?}");
+    assert_eq!(stats.disk_rejects, 1, "{stats:?}");
     assert_eq!(stats.disk_hits, 0, "{stats:?}");
+    assert_eq!((stats.misses, stats.hits), (1, 1), "{stats:?}");
 
-    // Both paths were overwritten with valid same-kind entries.
+    // The path was overwritten with a valid liveness entry, which a
+    // fresh engine serves to nullness as a disk hit.
     assert!(matches!(store.load(&shape), LoadOutcome::Hit(_)));
-    assert!(matches!(
-        store.load_artifact::<NullnessArtifact>(&shape),
-        LoadOutcome::Hit(_)
-    ));
+    let again = AnalysisEngine::new(EngineConfig {
+        persist_dir: Some(dir.clone()),
+        ..EngineConfig::default()
+    });
+    let art = again.nullness_for(func).expect("revives");
+    assert_eq!(art.solve(func), NullnessArtifact::compute(func).solve(func));
+    assert_eq!(again.cache_stats().disk_hits, 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -95,36 +95,97 @@ fn gcd_entry_degrades_to_one_clean_disk_miss() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Nullness used to persist an entry of its own (tag 2, under its own
+/// filename salt). It is now a view of the liveness entry, so a store
+/// written by such a build holds files this build must never read —
+/// and GC must still age them out like any other entry.
 #[test]
-fn gc_treats_mixed_analysis_kinds_as_ordinary_entries() {
+fn a_stale_nullness_entry_is_never_read_and_gc_removes_it() {
     use fastlive_core::NullnessArtifact;
-    use fastlive_engine::persist::LoadOutcome;
+    use fastlive_engine::artifact::{RETIRED_SALTS, RETIRED_TAGS};
+    use fastlive_engine::persist::{crc32, encode, LoadOutcome};
+    use fastlive_engine::vfs::{Fault, FaultRule, FaultVfs, OpKind, Vfs};
     use fastlive_engine::CfgShape;
+    use std::sync::Arc;
 
-    let dir = temp_dir("persist-gc-mixed");
+    let dir = temp_dir("persist-gc-stale-nullness");
     let module = parse_module(
         "function %a { block0(v0): jump block1 block1: return v0 }
          function %b { block0(v0): brif v0, block0, block1 block1: return v0 }",
     )
     .expect("parses");
 
-    // Populate both kinds for both shapes: four entries in one store.
-    let engine = engine_for(&dir);
-    let _ = engine.analyze(&module);
+    // Plant a CRC-valid tag-2 entry per shape at the retired salt's
+    // path, stamped long ago.
+    std::fs::create_dir_all(&dir).expect("store dir");
+    let mut stale = Vec::new();
     for (_, func) in module.iter() {
-        engine.nullness_for(func).expect("computes");
+        let shape = CfgShape::of(func);
+        let checker = fastlive_core::LivenessChecker::compute(&shape.to_graph());
+        let mut bytes = encode(&shape, checker.precomputation());
+        bytes[8..12].copy_from_slice(&RETIRED_TAGS[0].to_le_bytes());
+        let n = bytes.len() - 4;
+        let crc = crc32(&bytes[..n]);
+        bytes[n..].copy_from_slice(&crc.to_le_bytes());
+        let name = format!("{:016x}", shape.hash64() ^ RETIRED_SALTS[0]);
+        let path = dir.join(format!("{name}.flpc"));
+        std::fs::write(&path, &bytes).expect("plant stale entry");
+        std::fs::File::options()
+            .append(true)
+            .open(&path)
+            .and_then(|f| f.set_modified(std::time::UNIX_EPOCH + Duration::from_secs(1_000)))
+            .expect("backdate");
+        stale.push((name, path, bytes));
     }
-    let store = PersistStore::new(&dir);
-    let count = || {
-        std::fs::read_dir(&dir)
-            .map(|d| d.filter_map(Result::ok).count())
-            .unwrap_or(0)
-    };
-    assert_eq!(count(), 4, "two shapes x two kinds");
 
-    // Prune to two entries: GC ranks by age alone — an analysis kind
-    // is not a protected class, each file is just an entry.
-    let stats = engine.gc_persist(2, None).expect("persistence configured");
+    // Any touch of a stale file would fail with EIO and land in
+    // `disk_errors`: answering both analyses must touch none.
+    let fv = Arc::new(FaultVfs::healthy());
+    let never_touched: Vec<FaultRule> = stale
+        .iter()
+        .flat_map(|(name, _, _)| {
+            [OpKind::Metadata, OpKind::Read]
+                .map(|op| FaultRule::every(op, Fault::eio()).on_paths(name.clone()))
+        })
+        .collect();
+    fv.set_rules(never_touched);
+    let engine = AnalysisEngine::with_vfs(
+        EngineConfig {
+            threads: 1,
+            persist_dir: Some(dir.clone()),
+            ..EngineConfig::default()
+        },
+        fv.clone(),
+    );
+    let mut session = engine.analyze(&module);
+    for (id, func) in module.iter() {
+        let want = NullnessArtifact::compute(func);
+        let art = session.nullness(&module, id).expect("a view of liveness");
+        assert_eq!(art.solve(func), want.solve(func));
+        let art = engine.nullness_for(func).expect("a view of liveness");
+        assert_eq!(art.solve(func), want.solve(func));
+    }
+    let stats = engine.cache_stats();
+    assert_eq!(fv.faults_injected(), 0, "a stale nullness file was probed");
+    assert_eq!(stats.disk_errors, 0, "{stats:?}");
+    assert_eq!(stats.disk_rejects, 0, "{stats:?}");
+    assert_eq!(
+        stats.disk_misses, 2,
+        "one liveness entry per shape: {stats:?}"
+    );
+    for (_, path, bytes) in &stale {
+        assert_eq!(&std::fs::read(path).expect("untouched"), bytes);
+    }
+    // The trap was armed: a probe of a stale path does fault.
+    assert!(fv.metadata(&stale[0].1).is_err());
+    assert_eq!(fv.faults_injected(), 1);
+
+    // GC treats them as ordinary entries: an age bound expires the
+    // backdated stale files and keeps the fresh liveness entries.
+    fv.set_rules(Vec::new());
+    let stats = engine
+        .gc_persist(usize::MAX, Some(Duration::from_secs(3600)))
+        .expect("persistence configured");
     assert_eq!(
         stats,
         GcStats {
@@ -132,32 +193,11 @@ fn gc_treats_mixed_analysis_kinds_as_ordinary_entries() {
             removed: 2
         }
     );
-    assert_eq!(count(), 2);
-
-    // Whatever survived, a fresh engine degrades the gc'd kinds to
-    // clean misses and write-through heals the store back to four.
-    let second = engine_for(&dir);
-    let mut session = second.analyze(&module);
-    for (id, func) in module.iter() {
-        let art = second.nullness_for(func).expect("recomputes");
-        assert!(art.is_current_for(func));
-        let oracle = FunctionLiveness::compute(func);
-        for v in func.values() {
-            for b in func.blocks() {
-                assert_eq!(
-                    session.is_live_in(&module, id, v, b),
-                    Ok(oracle.is_live_in(func, v, b)),
-                );
-            }
-        }
-    }
-    assert_eq!(second.cache_stats().disk_rejects, 0);
-    assert_eq!(count(), 4, "write-through restores both kinds");
-    for (_, func) in module.iter() {
-        let shape = CfgShape::of(func);
-        assert!(matches!(store.load(&shape), LoadOutcome::Hit(_)));
+    let store = PersistStore::new(&dir);
+    for ((_, func), (_, path, _)) in module.iter().zip(&stale) {
+        assert!(!path.exists(), "{path:?} survived GC");
         assert!(matches!(
-            store.load_artifact::<NullnessArtifact>(&shape),
+            store.load(&CfgShape::of(func)),
             LoadOutcome::Hit(_)
         ));
     }

@@ -1,7 +1,7 @@
 //! `fastlive-lint` — the workspace's source gates as one
 //! zero-dependency binary (`cargo run -p fastlive-lint`).
 //!
-//! These checks used to live as four `grep` pipelines in the CI
+//! The first four checks used to live as `grep` pipelines in the CI
 //! workflow; encoding them as a token scanner makes them runnable
 //! locally, unit-testable against seeded violations, and honest about
 //! their exemptions (each rule carries its allowlist as data, not as
@@ -17,6 +17,7 @@
 //! | `bitset_clippy` | `crates/bitset/src/` | no clippy suppressions in the hot kernels |
 //! | `bitset_unsafe` | `crates/bitset/src/` | `#![forbid(unsafe_code)]` stays, and any future `unsafe` carries a `// SAFETY:` line |
 //! | `facade_only_examples` | `examples/` | examples demonstrate the facade, not the internals |
+//! | `dominance_once` | `src/`, `crates/engine/src/` | no `DomTree::compute` / `DfsTree::compute`: the liveness checker builds the one tree per CFG shape and everything else shares it (the oracle backend's own tree is the allowlisted exception) |
 //!
 //! Test modules are exempt where the rule says so: the scanner treats
 //! everything at or below the first `#[cfg(test)]` line as test code
@@ -110,6 +111,11 @@ pub const RULES: &[Rule] = &[
         name: "facade_only_examples",
         summary: "examples import the fastlive facade, not fastlive_engine/fastlive_core",
         check: check_facade_only_examples,
+    },
+    Rule {
+        name: "dominance_once",
+        summary: "facade and engine share the liveness checker's dominator tree, never build one",
+        check: check_dominance_once,
     },
 ];
 
@@ -307,6 +313,58 @@ pub fn check_facade_only_examples(file: &SourceFile) -> Vec<Violation> {
         .collect()
 }
 
+/// Functions allowed to build their own trees under `dominance_once`,
+/// as `(file, signature prefix)`: the oracle backend's referee tree,
+/// which must not lean on the checker it referees.
+pub const DOMINANCE_ALLOWLIST: &[(&str, &str)] = &[("src/backend.rs", "fn oracle_dom(")];
+
+/// 0-indexed lines inside the bodies of `file`'s allowlisted
+/// functions: from the signature line to the line where its braces
+/// balance again.
+fn allowlisted_fn_lines(file: &SourceFile, allowlist: &[(&str, &str)]) -> Vec<usize> {
+    let sigs: Vec<&str> = allowlist
+        .iter()
+        .filter(|(path, _)| *path == file.path)
+        .map(|&(_, sig)| sig)
+        .collect();
+    let mut lines = Vec::new();
+    let mut depth: Option<i64> = None;
+    for (i, l) in file.text.lines().enumerate() {
+        if depth.is_none() && !is_comment(l) && sigs.iter().any(|s| l.contains(s)) {
+            depth = Some(0);
+        }
+        if let Some(d) = depth.as_mut() {
+            lines.push(i);
+            *d += l.matches('{').count() as i64 - l.matches('}').count() as i64;
+            if *d <= 0 && l.contains('}') {
+                depth = None;
+            }
+        }
+    }
+    lines
+}
+
+/// `dominance_once`: the liveness checker already holds the CFG's DFS
+/// and dominator trees (built over the shape's canonical graph, node
+/// ids = block indices), and interference, nullness and definite-init
+/// need nothing else — a second `DomTree::compute` on the query path
+/// is exactly the repeated work this rule keeps out of the facade and
+/// the engine. Only [`DOMINANCE_ALLOWLIST`] functions and test modules
+/// may build one.
+pub fn check_dominance_once(file: &SourceFile) -> Vec<Violation> {
+    if !file.path.starts_with("src/") && !file.path.starts_with("crates/engine/src/") {
+        return Vec::new();
+    }
+    let allowed = allowlisted_fn_lines(file, DOMINANCE_ALLOWLIST);
+    scan_lines("dominance_once", file, true, |l| {
+        let s = squashed(l);
+        has_token(&s, "DomTree::compute") || has_token(&s, "DfsTree::compute")
+    })
+    .into_iter()
+    .filter(|v| !allowed.contains(&(v.line - 1)))
+    .collect()
+}
+
 /// Runs every rule over one file.
 pub fn check_file(file: &SourceFile) -> Vec<Violation> {
     RULES.iter().flat_map(|r| (r.check)(file)).collect()
@@ -497,6 +555,40 @@ mod tests {
             "use fastlive::{Fastlive, Query};\nuse fastlive_ir::parse_module;",
         );
         assert!(check_facade_only_examples(&ok).is_empty());
+    }
+
+    #[test]
+    fn dominance_once_allows_only_the_oracle_tree() {
+        let engine = SourceFile::new(
+            "crates/engine/src/persist.rs",
+            "fn revive(g: &G) {\n    let dfs = DfsTree::compute(g);\n    let dom = fastlive_cfg::DomTree::compute(g, &dfs);\n}",
+        );
+        let got = check_dominance_once(&engine);
+        assert_eq!(names(&got), ["dominance_once", "dominance_once"]);
+        assert_eq!(got[0].line, 2);
+
+        // The allowlisted oracle function may build its own tree; the
+        // same call after its body closes, or in another facade file,
+        // may not.
+        let facade = "fn oracle_dom(func: &Function) -> DomTree {\n    let dfs = DfsTree::compute(func);\n    DomTree::compute(func, &dfs)\n}\n\nfn interfere(func: &Function) {\n    let dom = DomTree::compute(func, &DfsTree::compute(func));\n}";
+        let got = check_dominance_once(&SourceFile::new("src/backend.rs", facade));
+        assert_eq!(names(&got), ["dominance_once"]);
+        assert_eq!(got[0].line, 7);
+        let got = check_dominance_once(&SourceFile::new("src/plan.rs", facade));
+        assert_eq!(got.len(), 3, "the allowlist is per file");
+
+        // Comments, test modules and crates outside the scope are
+        // exempt (core builds the tree; tests build referees).
+        let exempt = "// DomTree::compute is the checker's job\nfn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { DomTree::compute(&g, &DfsTree::compute(&g)); }\n}";
+        assert!(
+            check_dominance_once(&SourceFile::new("crates/engine/src/engine.rs", exempt))
+                .is_empty()
+        );
+        let core = SourceFile::new(
+            "crates/core/src/checker.rs",
+            "let dom = DomTree::compute(g, &dfs);",
+        );
+        assert!(check_dominance_once(&core).is_empty());
     }
 
     #[test]

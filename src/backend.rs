@@ -144,11 +144,11 @@ pub enum Backend<'e> {
 
 /// One resolved function's analysis state for the duration of a query
 /// (or of a whole per-function query group, under the planner): the
-/// backend-specific engine plus a lazily computed dominator tree for
-/// interference tests.
+/// backend-specific liveness engine plus the nullness state, derived
+/// from it on the first nullness-family query.
 pub(crate) struct FuncAnalysis {
     kind: LivenessState,
-    dom: Option<DomTree>,
+    nullness: Option<NullnessState>,
 }
 
 /// How one resolved function's *liveness* is served. (This used to be
@@ -160,30 +160,36 @@ enum LivenessState {
     Checker(Box<FunctionLiveness>),
     /// A cache-shared checker (session backend).
     Shared(Arc<FunctionLiveness>),
-    /// The data-flow oracle's solved sets.
-    Iterative(IterativeLiveness),
+    /// The data-flow oracle's solved sets, plus the dominator tree the
+    /// referee builds for itself — lazily, on its first interference
+    /// test — so it stays independent of the checker's.
+    Iterative(IterativeLiveness, Option<Box<DomTree>>),
 }
 
 /// How one resolved function's *nullness* is served: the exact sparse
-/// path (shape-level artifact + solved per-value facts) or the dense
+/// path (a view of the checker's dominator tree plus, once a
+/// `Nullness` query asks, the solved per-value facts) or the dense
 /// iterative referee. Both answer identically — `tests/facade_oracle.rs`
 /// and the fuzz campaign's query mix enforce it.
 pub(crate) enum NullnessState {
-    /// Dominance artifact plus the sparse solve over the function's
-    /// current body (direct and session backends — session shares the
-    /// artifact through the engine cache).
+    /// Dominance artifact sharing the liveness checker's tree (direct
+    /// and session backends), and the sparse solve over the function's
+    /// current body — run only for `Nullness` queries: definite-init
+    /// is a pure dominance test.
     Exact {
-        art: Arc<NullnessArtifact>,
-        facts: NullnessFacts,
+        art: NullnessArtifact,
+        facts: Option<NullnessFacts>,
     },
     /// The chaotic-iteration referee (oracle backend).
     Oracle(IterativeNullness),
 }
 
 impl NullnessState {
-    pub(crate) fn fact(&self, v: Value) -> Nullness {
+    pub(crate) fn fact(&mut self, func: &Function, v: Value) -> Nullness {
         match self {
-            NullnessState::Exact { facts, .. } => facts.of(v),
+            NullnessState::Exact { art, facts } => {
+                facts.get_or_insert_with(|| art.solve(func)).of(v)
+            }
             NullnessState::Oracle(it) => it.fact(v),
         }
     }
@@ -196,13 +202,45 @@ impl NullnessState {
     }
 }
 
-impl FuncAnalysis {
+/// The oracle's own dominator tree — the one place the facade builds
+/// a tree instead of sharing the liveness checker's, so the referee's
+/// interference answers never lean on the code they referee.
+fn oracle_dom(func: &Function) -> DomTree {
+    let dfs = DfsTree::compute(func);
+    DomTree::compute(func, &dfs)
+}
+
+impl LivenessState {
     fn checker(&self) -> Option<&FunctionLiveness> {
-        match &self.kind {
+        match self {
             LivenessState::Checker(c) => Some(c),
             LivenessState::Shared(c) => Some(c),
-            LivenessState::Iterative(_) => None,
+            LivenessState::Iterative(..) => None,
         }
+    }
+}
+
+impl FuncAnalysis {
+    fn new(kind: LivenessState) -> Self {
+        FuncAnalysis {
+            kind,
+            nullness: None,
+        }
+    }
+
+    /// The function's nullness state, derived on first use: a view of
+    /// the checker's own dominator tree for the checker-backed states
+    /// (no second tree, no cache round trip), the dense referee for the
+    /// oracle.
+    pub(crate) fn nullness(&mut self, func: &Function) -> &mut NullnessState {
+        let kind = &self.kind;
+        self.nullness.get_or_insert_with(|| match kind.checker() {
+            Some(c) => NullnessState::Exact {
+                art: NullnessArtifact::from_dom(Arc::clone(c.checker().shared_dom())),
+                facts: None,
+            },
+            None => NullnessState::Oracle(IterativeNullness::compute(func)),
+        })
     }
 
     pub(crate) fn live_in(&self, func: &Function, v: Value, b: Block) -> bool {
@@ -210,7 +248,7 @@ impl FuncAnalysis {
         // checker variants through an `Option` + `expect`, which made
         // adding a variant a latent runtime abort.
         match &self.kind {
-            LivenessState::Iterative(it) => it.is_live_in(v, b),
+            LivenessState::Iterative(it, _) => it.is_live_in(v, b),
             LivenessState::Checker(c) => c.is_live_in(func, v, b),
             LivenessState::Shared(c) => c.is_live_in(func, v, b),
         }
@@ -218,7 +256,7 @@ impl FuncAnalysis {
 
     pub(crate) fn live_out(&self, func: &Function, v: Value, b: Block) -> bool {
         match &self.kind {
-            LivenessState::Iterative(it) => it.is_live_out(v, b),
+            LivenessState::Iterative(it, _) => it.is_live_out(v, b),
             LivenessState::Checker(c) => c.is_live_out(func, v, b),
             LivenessState::Shared(c) => c.is_live_out(func, v, b),
         }
@@ -231,7 +269,7 @@ impl FuncAnalysis {
         p: ProgramPoint,
     ) -> Result<bool, PointError> {
         match &mut self.kind {
-            LivenessState::Iterative(it) => LivenessProvider::live_at(it, func, v, p),
+            LivenessState::Iterative(it, _) => LivenessProvider::live_at(it, func, v, p),
             LivenessState::Checker(c) => c.is_live_at(func, v, p),
             LivenessState::Shared(c) => c.is_live_at(func, v, p),
         }
@@ -243,7 +281,7 @@ impl FuncAnalysis {
             LiveSets { live_in, live_out }
         };
         match &self.kind {
-            LivenessState::Iterative(it) => LiveSets {
+            LivenessState::Iterative(it, _) => LiveSets {
                 live_in: func.blocks().map(|b| it.live_in_set(b)).collect(),
                 live_out: func.blocks().map(|b| it.live_out_set(b)).collect(),
             },
@@ -256,7 +294,7 @@ impl FuncAnalysis {
     /// `LiveOut` probes from. `None` for the oracle — its block
     /// queries are already O(1) probes into the solved sets.
     pub(crate) fn batch(&self, func: &Function) -> Option<BatchLiveness> {
-        self.checker().map(|c| c.batch(func))
+        self.kind.checker().map(|c| c.batch(func))
     }
 
     pub(crate) fn interfere(
@@ -265,17 +303,23 @@ impl FuncAnalysis {
         a: Value,
         b: Value,
     ) -> Result<bool, PointError> {
-        let dom = self.dom.get_or_insert_with(|| {
-            let dfs = DfsTree::compute(func);
-            DomTree::compute(func, &dfs)
-        });
+        // The checker-backed states test dominance on the checker's own
+        // tree (built over the canonical graph for the session backend:
+        // node ids are block indices either way, and dominance does not
+        // depend on successor order).
         match &mut self.kind {
-            LivenessState::Checker(c) => values_interfere(c.as_mut(), func, dom, a, b),
+            LivenessState::Checker(c) => {
+                let dom = Arc::clone(c.checker().shared_dom());
+                values_interfere(c.as_mut(), func, &dom, a, b)
+            }
             LivenessState::Shared(arc) => {
                 let mut engine = CheckerEngine::from_shared(Arc::clone(arc));
-                values_interfere(&mut engine, func, dom, a, b)
+                values_interfere(&mut engine, func, arc.checker().dom(), a, b)
             }
-            LivenessState::Iterative(it) => values_interfere(it, func, dom, a, b),
+            LivenessState::Iterative(it, dom) => {
+                let dom = dom.get_or_insert_with(|| Box::new(oracle_dom(func)));
+                values_interfere(it, func, dom, a, b)
+            }
         }
     }
 }
@@ -284,14 +328,11 @@ impl FuncAnalysis {
 /// the analysis state for one resolved function. Fallible because the
 /// session backend's analysis may itself have failed (a panicked
 /// precomputation under fault injection) — that failure becomes a
-/// per-query [`QueryError::AnalysisFailed`], never a crash.
+/// per-query [`QueryError::AnalysisFailed`], never a crash. Nullness
+/// needs no hook of its own: it is derived from this state, so it
+/// fails, and is retried, exactly like liveness.
 pub(crate) trait AnalysisSource {
     fn analysis_for(&mut self, module: &Module, id: FuncId) -> Result<FuncAnalysis, QueryError>;
-
-    /// The nullness state for one resolved function — only called for
-    /// groups that actually carry nullness queries, so liveness-only
-    /// batches never pay for the second analysis.
-    fn nullness_for(&mut self, module: &Module, id: FuncId) -> Result<NullnessState, QueryError>;
 
     /// Advisory cache warm-up for a cross-function batch: resolve the
     /// given `(function, analysis)` pairs through whatever parallelism
@@ -307,35 +348,17 @@ impl AnalysisSource for DirectBackend {
         let func = module.func(id);
         let mut checker = LivenessChecker::compute(func);
         checker.set_subtree_skipping(self.subtree_skipping);
-        Ok(FuncAnalysis {
-            kind: LivenessState::Checker(Box::new(FunctionLiveness::from_checker(checker))),
-            dom: None,
-        })
-    }
-
-    fn nullness_for(&mut self, module: &Module, id: FuncId) -> Result<NullnessState, QueryError> {
-        // Computed over the function directly; dominance and frontiers
-        // are successor-order independent, so this agrees bit-for-bit
-        // with the session backend's canonical-graph artifact.
-        let func = module.func(id);
-        let art = Arc::new(NullnessArtifact::compute(func));
-        let facts = art.solve(func);
-        Ok(NullnessState::Exact { art, facts })
+        Ok(FuncAnalysis::new(LivenessState::Checker(Box::new(
+            FunctionLiveness::from_checker(checker),
+        ))))
     }
 }
 
 impl AnalysisSource for SessionBackend<'_> {
     fn analysis_for(&mut self, module: &Module, id: FuncId) -> Result<FuncAnalysis, QueryError> {
-        Ok(FuncAnalysis {
-            kind: LivenessState::Shared(self.session.analysis(module, id)?),
-            dom: None,
-        })
-    }
-
-    fn nullness_for(&mut self, module: &Module, id: FuncId) -> Result<NullnessState, QueryError> {
-        let art = self.session.nullness(module, id)?;
-        let facts = art.solve(module.func(id));
-        Ok(NullnessState::Exact { art, facts })
+        Ok(FuncAnalysis::new(LivenessState::Shared(
+            self.session.analysis(module, id)?,
+        )))
     }
 
     fn prefetch(&mut self, module: &Module, requests: &[(FuncId, AnalysisKind)]) {
@@ -346,18 +369,9 @@ impl AnalysisSource for SessionBackend<'_> {
 impl AnalysisSource for OracleBackend {
     fn analysis_for(&mut self, module: &Module, id: FuncId) -> Result<FuncAnalysis, QueryError> {
         let func = module.func(id);
-        Ok(FuncAnalysis {
-            kind: LivenessState::Iterative(IterativeLiveness::compute(
-                func,
-                &VarUniverse::all(func),
-            )),
-            dom: None,
-        })
-    }
-
-    fn nullness_for(&mut self, module: &Module, id: FuncId) -> Result<NullnessState, QueryError> {
-        Ok(NullnessState::Oracle(IterativeNullness::compute(
-            module.func(id),
+        Ok(FuncAnalysis::new(LivenessState::Iterative(
+            IterativeLiveness::compute(func, &VarUniverse::all(func)),
+            None,
         )))
     }
 }
@@ -368,14 +382,6 @@ impl AnalysisSource for Backend<'_> {
             Backend::Direct(b) => b.analysis_for(module, id),
             Backend::Session(b) => b.analysis_for(module, id),
             Backend::Oracle(b) => b.analysis_for(module, id),
-        }
-    }
-
-    fn nullness_for(&mut self, module: &Module, id: FuncId) -> Result<NullnessState, QueryError> {
-        match self {
-            Backend::Direct(b) => b.nullness_for(module, id),
-            Backend::Session(b) => b.nullness_for(module, id),
-            Backend::Oracle(b) => b.nullness_for(module, id),
         }
     }
 
@@ -491,14 +497,38 @@ mod tests {
             let sets = a.live_sets(func);
             assert_eq!(sets.live_in.len(), func.num_blocks(), "{name}");
             seen_sets.push(sets);
-            // The converted `expect("just computed")` path: the lazily
-            // built dominator tree is reused across interfere calls.
+            // Repeated interference tests answer alike (the oracle's
+            // lazily built tree is reused across calls).
             let first = a.interfere(func, v0, v1).unwrap();
             let again = a.interfere(func, v0, v1).unwrap();
             assert_eq!(first, again, "{name}");
         }
         assert!(seen_live_in.iter().all(|&(_, ans)| ans), "{seen_live_in:?}");
         assert_eq!(seen_sets[0], seen_sets[1], "kinds disagree on live_sets");
+    }
+
+    /// Definite-init is a pure dominance test: answering it derives the
+    /// nullness state (a view of the checker's tree) but never runs the
+    /// solve; the first `Nullness` fact does, once.
+    #[test]
+    fn definite_init_answers_without_a_nullness_solve() {
+        let module = sample();
+        let func = module.func(0);
+        let v1 = func.value("v1").unwrap();
+        let b1 = func.block("block1").unwrap();
+        let mut a = DirectBackend::new().analysis_for(&module, 0).unwrap();
+        assert!(a.nullness(func).definitely_init(func, v1, b1));
+        let solved = |a: &FuncAnalysis| match &a.nullness {
+            Some(NullnessState::Exact { art, facts }) => {
+                let live = a.kind.checker().expect("checker-backed");
+                assert!(std::ptr::eq(art.dom(), live.checker().dom()));
+                facts.is_some()
+            }
+            _ => panic!("the direct backend serves the exact state"),
+        };
+        assert!(!solved(&a), "definite-init solved nullness");
+        assert_eq!(a.nullness(func).fact(func, v1), Nullness::NonNull);
+        assert!(solved(&a));
     }
 
     /// The oracle kind reports no batch snapshot (its probes are O(1)

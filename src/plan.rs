@@ -23,7 +23,7 @@ use fastlive_engine::AnalysisKind;
 use fastlive_ir::{FuncId, Function, Module};
 use fastlive_telemetry::{QueryClass, Recorder};
 
-use crate::backend::{AnalysisSource, FuncAnalysis, NullnessState};
+use crate::backend::{AnalysisSource, FuncAnalysis};
 use crate::query::{
     resolve_block, resolve_func, resolve_point, resolve_value, Query, QueryError, Response,
 };
@@ -48,23 +48,15 @@ fn batch_pays_off(func: &Function, block_probes: usize) -> bool {
 
 /// Resolve-and-answer for one query, given the function's analysis and
 /// (optionally) a pre-materialized batch snapshot for block probes.
+/// Nullness-family queries answer from the state the analysis derives
+/// on first use, so a group (or scalar call) pays for it only when it
+/// asks, and for the solve only when it asks a `Nullness` query.
 fn answer(
     analysis: &mut FuncAnalysis,
     batch: Option<&BatchLiveness>,
-    nullness: Option<&Result<NullnessState, QueryError>>,
     func: &Function,
     query: &Query,
 ) -> Result<Response, QueryError> {
-    // Nullness-family queries answer from the group's (or scalar
-    // call's) nullness state; a `None` here is a planner bookkeeping
-    // slip, reported per-query like any other internal error.
-    let nullness = |query: &'static str| match nullness {
-        Some(Ok(state)) => Ok(state),
-        Some(Err(e)) => Err(e.clone()),
-        None => Err(QueryError::Internal {
-            detail: format!("{query} query reached answer() without a nullness state"),
-        }),
-    };
     match query {
         Query::LiveIn { value, block, .. } => {
             let v = resolve_value(func, value)?;
@@ -101,21 +93,16 @@ fn answer(
         }
         Query::Nullness { value, .. } => {
             let v = resolve_value(func, value)?;
-            Ok(Response::Nullness(nullness("nullness")?.fact(v)))
+            Ok(Response::Nullness(analysis.nullness(func).fact(func, v)))
         }
         Query::DefiniteInit { value, block, .. } => {
             let v = resolve_value(func, value)?;
             let b = resolve_block(func, block)?;
             Ok(Response::Init(
-                nullness("definite-init")?.definitely_init(func, v, b),
+                analysis.nullness(func).definitely_init(func, v, b),
             ))
         }
     }
-}
-
-/// Does the query need the function's [`NullnessState`]?
-fn needs_nullness(query: &Query) -> bool {
-    matches!(query, Query::Nullness { .. } | Query::DefiniteInit { .. })
 }
 
 /// Whole-function sets out of an existing row snapshot — the same
@@ -163,14 +150,7 @@ pub(crate) fn scalar_query<S: AnalysisSource>(
 ) -> Result<Response, QueryError> {
     let id = resolve_func(module, query.func())?;
     let mut analysis = source.analysis_for(module, id)?;
-    let nullness = needs_nullness(query).then(|| source.nullness_for(module, id));
-    answer(
-        &mut analysis,
-        None,
-        nullness.as_ref(),
-        module.func(id),
-        query,
-    )
+    answer(&mut analysis, None, module.func(id), query)
 }
 
 /// The planned batch executor: group by function, analyze once per
@@ -213,19 +193,16 @@ pub(crate) fn run_planned<S: AnalysisSource>(
     }
 
     // Cross-function batches warm the cache through the backend's
-    // worker pool before the sequential group loop: one `(function,
-    // analysis)` request per distinct need, so the per-group
-    // `analysis_for` / `nullness_for` below become memory hits. A
+    // worker pool before the sequential group loop: one liveness
+    // request per function (nullness is derived from it), so the
+    // per-group `analysis_for` below becomes a memory hit. A
     // single-group batch gains nothing — the group loop would do the
     // same work with no parallelism to exploit.
     if groups.len() >= 2 {
-        let mut requests = Vec::with_capacity(groups.len());
-        for (id, idxs) in &groups {
-            requests.push((*id, AnalysisKind::Liveness));
-            if idxs.iter().any(|&i| needs_nullness(&queries[i])) {
-                requests.push((*id, AnalysisKind::Nullness));
-            }
-        }
+        let requests: Vec<_> = groups
+            .iter()
+            .map(|(id, _)| (*id, AnalysisKind::Liveness))
+            .collect();
         source.prefetch(module, &requests);
     }
 
@@ -242,13 +219,6 @@ pub(crate) fn run_planned<S: AnalysisSource>(
                 continue;
             }
         };
-        // The second analysis is resolved once per group, and only for
-        // groups that ask for it; a failure poisons just the group's
-        // nullness-family queries, never its liveness ones.
-        let nullness = idxs
-            .iter()
-            .any(|&i| needs_nullness(&queries[i]))
-            .then(|| source.nullness_for(module, id));
         let block_probes = idxs
             .iter()
             .filter(|&&i| matches!(queries[i], Query::LiveIn { .. } | Query::LiveOut { .. }))
@@ -291,13 +261,7 @@ pub(crate) fn run_planned<S: AnalysisSource>(
                         resolve_block(func, block)
                             .map(|b| Response::Live(rows.is_live_out(v.index() as u32, b.as_u32())))
                     }),
-                _ => answer(
-                    &mut analysis,
-                    batch.as_ref(),
-                    nullness.as_ref(),
-                    func,
-                    &queries[i],
-                ),
+                _ => answer(&mut analysis, batch.as_ref(), func, &queries[i]),
             };
             results[i] = Some(result);
         }
